@@ -35,27 +35,47 @@ BundleHeader BundleHeader::decode(Reader& r) {
   return h;
 }
 
+void append_tx_leaves(const std::vector<Transaction>& txs,
+                      std::vector<Hash32>& out) {
+  out.reserve(out.size() + txs.size());
+  for (const auto& tx : txs) out.push_back(tx.id());
+}
+
 Hash32 Bundle::tx_root_of(const std::vector<Transaction>& txs) {
-  if (txs.empty()) return kZeroHash;
   std::vector<Hash32> leaves;
-  leaves.reserve(txs.size());
-  for (const auto& tx : txs) leaves.push_back(tx.id());
-  return MerkleTree::root_of(leaves);
+  append_tx_leaves(txs, leaves);
+  return tx_root_of_leaves(leaves);
+}
+
+Hash32 Bundle::tx_root_of_leaves(const std::vector<Hash32>& leaves) {
+  return leaves.empty() ? kZeroHash : MerkleTree::root_of(leaves);
 }
 
 Bundle make_bundle(NodeId producer, BundleHeight height,
                    const Hash32& parent_hash,
                    std::vector<BundleHeight> tip_list,
                    std::vector<Transaction> txs, const KeyPair& key) {
-  Bundle b;
+  return make_stored_bundle(producer, height, parent_hash,
+                            std::move(tip_list), std::move(txs), key)
+      .bundle;
+}
+
+StoredBundle make_stored_bundle(NodeId producer, BundleHeight height,
+                                const Hash32& parent_hash,
+                                std::vector<BundleHeight> tip_list,
+                                std::vector<Transaction> txs,
+                                const KeyPair& key) {
+  StoredBundle out;
+  Bundle& b = out.bundle;
   b.header.producer = producer;
   b.header.height = height;
   b.header.parent_hash = parent_hash;
   b.header.tip_list = std::move(tip_list);
-  b.header.tx_root = Bundle::tx_root_of(txs);
+  append_tx_leaves(txs, out.leaves);
+  b.header.tx_root = Bundle::tx_root_of_leaves(out.leaves);
   b.txs = std::move(txs);
   b.header.signature = key.sign(BytesView{b.header.signing_bytes()});
-  return b;
+  return out;
 }
 
 bool verify_bundle_signature(const BundleHeader& header,

@@ -52,12 +52,22 @@ struct BundleHeader {
   bool operator==(const BundleHeader&) const = default;
 };
 
+/// Append the Merkle leaves of `txs` — their ids, in order — to `out`.
+/// The one place a node hashes transactions for a root: make_bundle,
+/// Mempool rule 2, and a block root over a bundle whose stored leaves
+/// were already released.
+void append_tx_leaves(const std::vector<Transaction>& txs,
+                      std::vector<Hash32>& out);
+
 struct Bundle {
   BundleHeader header;
   std::vector<Transaction> txs;
 
   /// Merkle root over transaction ids (what header.tx_root must equal).
   static Hash32 tx_root_of(const std::vector<Transaction>& txs);
+  /// The same root folded from leaves already hashed (kZeroHash when
+  /// there are none).
+  static Hash32 tx_root_of_leaves(const std::vector<Hash32>& leaves);
 
   /// Full wire size: header + simulated transaction payloads.
   std::size_t wire_size() const {
@@ -67,6 +77,13 @@ struct Bundle {
   bool operator==(const Bundle&) const = default;
 };
 
+/// A bundle with the leaf digests its tx_root folds — how a node holds
+/// a bundle after hashing its transactions once.
+struct StoredBundle {
+  Bundle bundle;
+  std::vector<Hash32> leaves;
+};
+
 /// Build and sign a bundle. `tip_list` must already include the
 /// producer's own chain at `height` (a producer has trivially "received"
 /// its own bundle).
@@ -74,6 +91,15 @@ Bundle make_bundle(NodeId producer, BundleHeight height,
                    const Hash32& parent_hash,
                    std::vector<BundleHeight> tip_list,
                    std::vector<Transaction> txs, const KeyPair& key);
+
+/// make_bundle that also returns the leaves it hashed for tx_root, so
+/// the producer's own Mempool::add stores them instead of hashing every
+/// transaction again.
+StoredBundle make_stored_bundle(NodeId producer, BundleHeight height,
+                                const Hash32& parent_hash,
+                                std::vector<BundleHeight> tip_list,
+                                std::vector<Transaction> txs,
+                                const KeyPair& key);
 
 /// Signature check against the producer's registered public key.
 bool verify_bundle_signature(const BundleHeader& header,

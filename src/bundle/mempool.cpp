@@ -31,15 +31,35 @@ const char* to_string(AddBundleResult r) {
 
 const Bundle* BundleChain::get(BundleHeight h) const {
   const auto it = bundles_.find(h);
-  return it == bundles_.end() ? nullptr : &it->second;
+  return it == bundles_.end() ? nullptr : &it->second.bundle;
 }
 
 const Bundle* BundleChain::latest() const { return get(contiguous_); }
 
-void BundleChain::insert(Bundle b) {
-  const BundleHeight h = b.header.height;
+const std::vector<Hash32>* BundleChain::leaves(BundleHeight h) const {
+  const auto it = bundles_.find(h);
+  if (it == bundles_.end()) return nullptr;
+  const StoredBundle& stored = it->second;
+  return stored.leaves.size() == stored.bundle.txs.size() ? &stored.leaves
+                                                          : nullptr;
+}
+
+void BundleChain::insert(StoredBundle b) {
+  const BundleHeight h = b.bundle.header.height;
+  // A bundle that arrives already confirmed (fetched after a state
+  // transfer) is never folded into a block root here again.
+  if (h <= released_through_) b.leaves = std::vector<Hash32>();
   bundles_.emplace(h, std::move(b));
   while (bundles_.count(contiguous_ + 1) != 0) ++contiguous_;
+}
+
+void BundleChain::release_leaves_through(BundleHeight h) {
+  if (h <= released_through_) return;
+  for (auto it = bundles_.upper_bound(released_through_);
+       it != bundles_.end() && it->first <= h; ++it) {
+    it->second.leaves = std::vector<Hash32>();  // frees, unlike = {}
+  }
+  released_through_ = h;
 }
 
 void BundleChain::erase_above(BundleHeight h) {
@@ -51,7 +71,7 @@ void BundleChain::erase_above(BundleHeight h) {
 
 void BundleChain::prune_below(BundleHeight h) {
   while (!bundles_.empty() && bundles_.begin()->first < h) {
-    gc_bytes_ += bundles_.begin()->second.wire_size();
+    gc_bytes_ += bundles_.begin()->second.bundle.wire_size();
     gc_items_ += 1;
     bundles_.erase(bundles_.begin());
   }
@@ -71,8 +91,21 @@ Mempool::Mempool(std::size_t n_chains, std::vector<PublicKey> producer_keys)
 AddBundleResult Mempool::add(const Bundle& bundle,
                              ConflictEvidence* evidence,
                              bool signature_verified) {
+  return add_bundle(bundle, nullptr, evidence,
+                    Prechecked{.signature = signature_verified});
+}
+
+AddBundleResult Mempool::add(const Bundle& bundle,
+                             std::vector<Hash32> leaves) {
+  return add_bundle(bundle, &leaves, nullptr, Prechecked{});
+}
+
+AddBundleResult Mempool::add_bundle(const Bundle& bundle,
+                                    std::vector<Hash32>* leaves,
+                                    ConflictEvidence* evidence,
+                                    Prechecked checked) {
   const AddBundleResult result =
-      validate_and_insert(bundle, evidence, signature_verified);
+      validate_and_insert(bundle, leaves, evidence, checked);
   if (result == AddBundleResult::kAdded) {
     retry_pending(bundle.header.producer);
   }
@@ -80,8 +113,9 @@ AddBundleResult Mempool::add(const Bundle& bundle,
 }
 
 AddBundleResult Mempool::validate_and_insert(const Bundle& bundle,
+                                             std::vector<Hash32>* leaves,
                                              ConflictEvidence* evidence,
-                                             bool signature_verified) {
+                                             Prechecked checked) {
   const BundleHeader& h = bundle.header;
   if (h.producer >= chains_.size() || h.height == 0 ||
       h.tip_list.size() != chains_.size()) {
@@ -105,12 +139,22 @@ AddBundleResult Mempool::validate_and_insert(const Bundle& bundle,
   }
 
   // Rule: signature must verify (producers cannot be impersonated).
-  if (!signature_verified && !verify_bundle_signature(h, keys_[h.producer])) {
+  if (!checked.signature &&
+      !verify_bundle_signature(h, keys_[h.producer])) {
     return AddBundleResult::kBadSignature;
   }
 
-  // Rule 2: transactions valid — here, the Merkle root must match.
-  if (Bundle::tx_root_of(bundle.txs) != h.tx_root) {
+  // Rule 2: transactions valid — here, the Merkle root must match. This
+  // is the one place a receiving node hashes the bundle's transactions;
+  // the leaves stay with the stored bundle for every later block root.
+  std::vector<Hash32> hashed;
+  if (leaves == nullptr) {
+    append_tx_leaves(bundle.txs, hashed);
+    leaves = &hashed;
+  }
+  if (!checked.tx_root &&
+      (leaves->size() != bundle.txs.size() ||
+       Bundle::tx_root_of_leaves(*leaves) != h.tx_root)) {
     return AddBundleResult::kBadTxRoot;
   }
 
@@ -133,7 +177,8 @@ AddBundleResult Mempool::validate_and_insert(const Bundle& bundle,
         // Below the confirmed watermark the prefix was already
         // validated and GC'd; accept without the parent link.
       } else {
-        pending_[h.producer].emplace(h.height, bundle);
+        pending_[h.producer].emplace(
+            h.height, StoredBundle{bundle, std::move(*leaves)});
         return AddBundleResult::kMissingParent;
       }
     } else if (parent->header.hash() != h.parent_hash) {
@@ -156,7 +201,7 @@ AddBundleResult Mempool::validate_and_insert(const Bundle& bundle,
     }
   }
 
-  chain.insert(bundle);
+  chain.insert(StoredBundle{bundle, std::move(*leaves)});
   if (rejoin_genesis) rejoin_base_.erase(h.producer);
   return AddBundleResult::kAdded;
 }
@@ -168,12 +213,14 @@ void Mempool::retry_pending(std::size_t chain_index) {
     const BundleHeight next = chain.contiguous_height() + 1;
     const auto it = waiting.find(next);
     if (it == waiting.end()) break;
-    Bundle b = std::move(it->second);
+    StoredBundle parked = std::move(it->second);
     waiting.erase(it);
-    // Buffered bundles passed the signature check before they were
-    // parked (buffering happens after the rule checks), so the retry
-    // skips the recomputation.
-    if (validate_and_insert(b, nullptr, /*signature_verified=*/true) !=
+    // Buffered bundles passed the signature and tx-root checks before
+    // they were parked (buffering happens after those rules), so the
+    // retry reuses their leaves and skips both.
+    if (validate_and_insert(parked.bundle, &parked.leaves, nullptr,
+                            Prechecked{.signature = true,
+                                       .tx_root = true}) !=
         AddBundleResult::kAdded) {
       break;
     }
@@ -213,6 +260,7 @@ void Mempool::confirm(const std::vector<BundleHeight>& heights) {
   }
   for (std::size_t i = 0; i < chains_.size(); ++i) {
     confirmed_[i] = std::max(confirmed_[i], heights[i]);
+    chains_[i].release_leaves_through(confirmed_[i]);
     if (gc_retention_ > 0 && confirmed_[i] > gc_retention_) {
       chains_[i].prune_below(confirmed_[i] - gc_retention_);
     }

@@ -34,7 +34,10 @@ enum class AddBundleResult {
 
 const char* to_string(AddBundleResult r);
 
-/// Per-producer chain of validated bundles.
+/// Per-producer chain of validated bundles. Each entry keeps the leaf
+/// digests its tx_root was checked against, so block roots fold them
+/// instead of hashing the transactions again; Mempool::confirm releases
+/// them once a committed block has consumed the bundle.
 class BundleChain {
  public:
   /// Highest height h such that every bundle 1..h is present.
@@ -42,6 +45,10 @@ class BundleChain {
 
   const Bundle* get(BundleHeight h) const;
   const Bundle* latest() const;  ///< Bundle at contiguous_height(), if any.
+
+  /// Leaf digests (transaction ids) of the bundle at `h`; nullptr when
+  /// the bundle is absent or its leaves were released by confirm.
+  const std::vector<Hash32>* leaves(BundleHeight h) const;
 
   /// Discard every bundle above `h` (rejoin cleanup).
   void erase_above(BundleHeight h);
@@ -55,12 +62,17 @@ class BundleChain {
 
  private:
   friend class Mempool;
-  void insert(Bundle b);
+  void insert(StoredBundle b);
   void prune_below(BundleHeight h);
+  /// Drop the stored leaves of every bundle at heights <= `h`.
+  void release_leaves_through(BundleHeight h);
 
-  std::map<BundleHeight, Bundle> bundles_;
+  // A released entry keeps an empty `leaves`; for a non-empty bundle
+  // the size mismatch marks it (an empty bundle has no leaves to lose).
+  std::map<BundleHeight, StoredBundle> bundles_;
   BundleHeight contiguous_ = 0;
   BundleHeight pruned_below_ = 0;  ///< Heights < this have been GC'd.
+  BundleHeight released_through_ = 0;  ///< Leaves dropped up to here.
   std::uint64_t gc_bytes_ = 0;
   std::uint64_t gc_items_ = 0;
 };
@@ -84,6 +96,13 @@ class Mempool {
                       ConflictEvidence* evidence = nullptr,
                       bool signature_verified = false);
 
+  /// The producer's own bundle, with the leaves make_stored_bundle
+  /// hashed for its tx_root: stored as they are, so the transactions
+  /// are not hashed twice. Every rule is still checked, the leaves
+  /// against header.tx_root included; what the caller vouches for is
+  /// that leaves[i] is bundle.txs[i].id().
+  AddBundleResult add(const Bundle& bundle, std::vector<Hash32> leaves);
+
   const BundleChain& chain(std::size_t i) const { return chains_[i]; }
 
   /// Registered public key of producer i.
@@ -102,8 +121,9 @@ class Mempool {
   /// Heights confirmed by committed blocks, one per chain.
   const std::vector<BundleHeight>& confirmed() const { return confirmed_; }
 
-  /// Advance confirmed heights (monotone). Bundles more than
-  /// gc_retention() below the confirmed watermark are garbage-collected.
+  /// Advance confirmed heights (monotone). Confirmed bundles release
+  /// their stored leaves; bundles more than gc_retention() below the
+  /// confirmed watermark are garbage-collected.
   void confirm(const std::vector<BundleHeight>& heights);
 
   /// How many heights below the confirmed watermark are kept to serve
@@ -150,9 +170,19 @@ class Mempool {
   std::size_t pending_count(std::size_t chain) const;
 
  private:
+  /// What a caller has already checked of a bundle it hands in.
+  struct Prechecked {
+    bool signature = false;
+    bool tx_root = false;  ///< `leaves` fold to header.tx_root.
+  };
+  /// `leaves` null: hash bundle.txs for rule 2. Otherwise they are the
+  /// bundle's leaves and are moved into the chain (or the buffer).
+  AddBundleResult add_bundle(const Bundle& bundle, std::vector<Hash32>* leaves,
+                             ConflictEvidence* evidence, Prechecked checked);
   AddBundleResult validate_and_insert(const Bundle& bundle,
+                                      std::vector<Hash32>* leaves,
                                       ConflictEvidence* evidence,
-                                      bool signature_verified);
+                                      Prechecked checked);
   void retry_pending(std::size_t chain_index);
 
   std::vector<BundleChain> chains_;
@@ -162,8 +192,9 @@ class Mempool {
   std::set<NodeId> banned_;
   // Armed rejoin slots: producer -> height its new genesis chains from.
   std::map<NodeId, BundleHeight> rejoin_base_;
-  // Buffered out-of-order bundles per chain, keyed by height.
-  std::vector<std::map<BundleHeight, Bundle>> pending_;
+  // Buffered out-of-order bundles per chain, keyed by height; they
+  // passed the signature and tx-root rules and keep their leaves.
+  std::vector<std::map<BundleHeight, StoredBundle>> pending_;
 };
 
 /// The leader's cutting rule (§III-B): for every chain, the cut height

@@ -205,18 +205,25 @@ std::vector<Transaction> extract_transactions(const Mempool& mempool,
 Hash32 compute_block_tx_root(const Mempool& mempool,
                              const std::vector<BundleHeight>& prev_heights,
                              const std::vector<BundleHeight>& cut_heights) {
+  // Folds the leaves each bundle's tx_root was checked against when it
+  // entered the mempool; only a bundle whose leaves confirm already
+  // released is hashed again.
   std::vector<Hash32> leaves;
   for (std::size_t i = 0; i < cut_heights.size(); ++i) {
+    const BundleChain& chain = mempool.chain(i);
     for (BundleHeight h = prev_heights[i] + 1; h <= cut_heights[i]; ++h) {
-      const Bundle* b = mempool.chain(i).get(h);
+      const Bundle* b = chain.get(h);
       if (b == nullptr) {
         throw std::logic_error("compute_block_tx_root: missing bundle");
       }
-      for (const auto& tx : b->txs) leaves.push_back(tx.id());
+      if (const std::vector<Hash32>* stored = chain.leaves(h)) {
+        leaves.insert(leaves.end(), stored->begin(), stored->end());
+      } else {
+        append_tx_leaves(b->txs, leaves);
+      }
     }
   }
-  if (leaves.empty()) return kZeroHash;
-  return MerkleTree::root_of(leaves);
+  return Bundle::tx_root_of_leaves(leaves);
 }
 
 }  // namespace predis

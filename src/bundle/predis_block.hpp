@@ -88,7 +88,9 @@ BlockVerifyResult verify_predis_block(
 std::vector<Transaction> extract_transactions(const Mempool& mempool,
                                               const PredisBlock& block);
 
-/// Merkle root over the ids of the transactions in canonical order.
+/// Merkle root over the ids of the transactions in canonical order,
+/// folded from the mempool's stored leaves (a bundle whose leaves were
+/// released is hashed again). Precondition: every bundle is held.
 Hash32 compute_block_tx_root(const Mempool& mempool,
                              const std::vector<BundleHeight>& prev_heights,
                              const std::vector<BundleHeight>& cut_heights);

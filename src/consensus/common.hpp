@@ -36,6 +36,13 @@ class Payload {
 
 using PayloadPtr = std::shared_ptr<const Payload>;
 
+/// Observation hook every node fires for each executed block: payload
+/// digest, Merkle root over the block's transaction ids, transaction
+/// count, commit time. Feeds the per-node core::Ledger.
+using CommittedBlockHook = std::function<void(
+    const Hash32& digest, const Hash32& tx_root, std::size_t tx_count,
+    SimTime committed_at)>;
+
 /// Replica-side payload check outcome. kPending means "cannot decide
 /// yet" (e.g. referenced bundles still in flight); the app later calls
 /// the core's revalidate hook.

@@ -323,7 +323,8 @@ void SharedMempoolNode::on_commit(hotstuff::Round round,
   ledger_.on_commit(ctx_.index(), round, payload->digest(), txs.size(),
                     ctx_.now());
   if (on_committed_block) {
-    on_committed_block(payload->digest(), txs, ctx_.now());
+    on_committed_block(payload->digest(), Bundle::tx_root_of(txs),
+                       txs.size(), ctx_.now());
   }
   replies_.reply_committed(txs);
 }

@@ -155,9 +155,7 @@ class SharedMempoolNode final : public runtime::Actor,
   }
 
   /// Observation hook: fired for every executed block.
-  std::function<void(const Hash32&, const std::vector<Transaction>&,
-                     SimTime)>
-      on_committed_block;
+  CommittedBlockHook on_committed_block;
 
  private:
   using Key = std::pair<NodeId, std::uint64_t>;

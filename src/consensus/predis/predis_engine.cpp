@@ -116,13 +116,14 @@ void PredisEngine::produce_bundle() {
   std::vector<BundleHeight> tips = mempool_.tip_list();
   tips[ctx_.index()] = own_height_ + 1;
 
-  Bundle bundle = make_bundle(static_cast<NodeId>(ctx_.index()),
-                              own_height_ + 1, own_parent_hash_,
-                              std::move(tips), std::move(txs), own_key_);
+  StoredBundle own = make_stored_bundle(
+      static_cast<NodeId>(ctx_.index()), own_height_ + 1, own_parent_hash_,
+      std::move(tips), std::move(txs), own_key_);
+  const Bundle& bundle = own.bundle;
   own_height_ += 1;
   own_parent_hash_ = bundle.header.hash();
 
-  const AddBundleResult result = mempool_.add(bundle);
+  const AddBundleResult result = mempool_.add(bundle, std::move(own.leaves));
   if (result != AddBundleResult::kAdded) {
     log_warn("own bundle rejected: ", to_string(result));
     return;
@@ -524,6 +525,8 @@ void PredisEngine::flush_deferred() {
 
     const std::vector<Transaction> txs =
         extract_transactions(mempool_, block);
+    const Hash32 tx_root =
+        compute_block_tx_root(mempool_, block.prev_heights, block.cut_heights);
     mempool_.confirm(block.cut_heights);
     for (std::size_t i = 0; i < last_cut_.size(); ++i) {
       last_cut_[i] = std::max(last_cut_[i], block.cut_heights[i]);
@@ -533,7 +536,7 @@ void PredisEngine::flush_deferred() {
     if (tracer_ != nullptr) {
       tracer_->record(TraceStage::kBlockCommitted, block.hash(), ctx_.now());
     }
-    if (on_execute) on_execute(slot, block, txs);
+    if (on_execute) on_execute(slot, block, tx_root, txs);
     if (on_block_executed) on_block_executed(block, txs);
   }
 }

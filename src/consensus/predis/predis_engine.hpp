@@ -176,8 +176,12 @@ class PredisEngine {
   std::size_t queue_depth() const { return tx_queue_.size(); }
 
   /// Callback used by commit execution to deliver replies + metrics.
+  /// `tx_root` is the Merkle root over `txs`' ids, folded from this
+  /// node's own stored leaves before confirm released them — never
+  /// copied from the block, so a node that executes without verifying
+  /// still records what it holds.
   std::function<void(std::uint64_t slot, const PredisBlock&,
-                     const std::vector<Transaction>&)>
+                     const Hash32& tx_root, const std::vector<Transaction>&)>
       on_execute;
 
  private:

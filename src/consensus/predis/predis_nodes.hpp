@@ -26,11 +26,12 @@ class PredisPbftNode final : public runtime::Actor, private pbft::PbftApp {
       core_.payload_ready();
       core_.revalidate(core_.last_executed() + 1);
     };
-    engine_.on_execute = [this](std::uint64_t slot, const PredisBlock& block,
+    engine_.on_execute = [this](std::uint64_t /*slot*/,
+                                const PredisBlock& block,
+                                const Hash32& tx_root,
                                 const std::vector<Transaction>& txs) {
-      (void)slot;
       if (on_committed_block) {
-        on_committed_block(block.hash(), txs, ctx_.now());
+        on_committed_block(block.hash(), tx_root, txs.size(), ctx_.now());
       }
       replies_.reply_committed(txs);
     };
@@ -63,9 +64,7 @@ class PredisPbftNode final : public runtime::Actor, private pbft::PbftApp {
   PredisEngine& engine() { return engine_; }
 
   /// Observation hook: fired for every executed block.
-  std::function<void(const Hash32&, const std::vector<Transaction>&,
-                     SimTime)>
-      on_committed_block;
+  CommittedBlockHook on_committed_block;
 
  private:
   // --- PbftApp ---------------------------------------------------------
@@ -97,7 +96,7 @@ class PredisPbftNode final : public runtime::Actor, private pbft::PbftApp {
       ledger_.on_commit(ctx_.index(), seq, payload->digest(), 0,
                         ctx_.now());
       if (on_committed_block) {
-        on_committed_block(payload->digest(), {}, ctx_.now());
+        on_committed_block(payload->digest(), kZeroHash, 0, ctx_.now());
       }
       core_.revalidate(seq + 1);
       return;
@@ -170,9 +169,10 @@ class PredisHotStuffNode final : public runtime::Actor,
     };
     engine_.on_execute = [this](std::uint64_t /*slot*/,
                                 const PredisBlock& block,
+                                const Hash32& tx_root,
                                 const std::vector<Transaction>& txs) {
       if (on_committed_block) {
-        on_committed_block(block.hash(), txs, ctx_.now());
+        on_committed_block(block.hash(), tx_root, txs.size(), ctx_.now());
       }
       replies_.reply_committed(txs);
     };
@@ -202,9 +202,7 @@ class PredisHotStuffNode final : public runtime::Actor,
   PredisEngine& engine() { return engine_; }
 
   /// Observation hook: fired for every executed block.
-  std::function<void(const Hash32&, const std::vector<Transaction>&,
-                     SimTime)>
-      on_committed_block;
+  CommittedBlockHook on_committed_block;
 
  private:
   /// The cut this proposal must chain on: the nearest Predis ancestor's

@@ -12,10 +12,9 @@
 #include <optional>
 #include <vector>
 
-#include "common/merkle.hpp"
+#include "common/codec.hpp"
 #include "common/sha256.hpp"
 #include "common/types.hpp"
-#include "txpool/transaction.hpp"
 
 namespace predis::core {
 
@@ -67,8 +66,12 @@ class Ledger {
   void append(LedgerEntry entry);
 
   /// Convenience: build + append an entry from a commit event.
+  /// `tx_root` is the Merkle root over the block's transaction ids,
+  /// which the committing node already holds (a Predis node folds it
+  /// from its stored bundle leaves); the ledger hashes no transaction.
   const LedgerEntry& append_block(const Hash32& payload_digest,
-                                  const std::vector<Transaction>& txs,
+                                  const Hash32& tx_root,
+                                  std::size_t tx_count,
                                   SimTime committed_at);
 
   std::size_t size() const { return entries_.size(); }

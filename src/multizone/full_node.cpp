@@ -522,9 +522,7 @@ void MultiZoneFullNode::on_stripe(NodeId /*from*/, const StripeMsg& msg) {
 
   last_stripe_at_[msg.index] = now();
   last_any_stripe_ = now();
-  const Hash32 hash = msg.header.hash();
-  auto& state = stripes_[hash];
-  if (state.have.empty()) state.header = msg.header;
+  StripeState& state = stripe_state(msg.header);
   if (!state.have.insert(msg.index).second) return;  // duplicate
   if (msg.payload) {
     if (state.bodies.empty()) state.bodies.resize(cfg_.n_consensus);
@@ -545,8 +543,20 @@ void MultiZoneFullNode::on_stripe(NodeId /*from*/, const StripeMsg& msg) {
       if (!try_byte_decode(state)) return;  // wait for more stripes
     }
     state.decoded = true;
-    store_bundle_record(state.header);
+    store_bundle_record(state.header, state.header.hash());
   }
+}
+
+MultiZoneFullNode::StripeState& MultiZoneFullNode::stripe_state(
+    const BundleHeader& header) {
+  const std::pair slot{header.producer, header.height};
+  auto [it, end] = stripes_.equal_range(slot);
+  for (; it != end; ++it) {
+    if (it->second.header == header) return it->second;
+  }
+  StripeState& state = stripes_.emplace_hint(end, slot, StripeState{})->second;
+  state.header = header;
+  return state;
 }
 
 bool MultiZoneFullNode::try_byte_decode(StripeState& state) {
@@ -572,16 +582,17 @@ bool MultiZoneFullNode::try_byte_decode(StripeState& state) {
   return true;
 }
 
-void MultiZoneFullNode::store_bundle_record(const BundleHeader& header) {
+void MultiZoneFullNode::store_bundle_record(const BundleHeader& header,
+                                            const Hash32& hash) {
   if (header.producer >= chains_.size()) return;
   auto& chain = chains_[header.producer];
-  if (!chain.emplace(header.height, header.hash()).second) return;
+  if (!chain.emplace(header.height, hash).second) return;
   ++decoded_count_;
   while (chain.count(contiguous_[header.producer] + 1) != 0) {
     ++contiguous_[header.producer];
   }
   if (tracer_ != nullptr) {
-    tracer_->record(TraceStage::kBundleDecoded, header.hash(), now(), self_);
+    tracer_->record(TraceStage::kBundleDecoded, hash, now(), self_);
   }
   if (on_bundle_decoded) on_bundle_decoded(header, now());
   try_reconstruct_blocks();
@@ -850,11 +861,12 @@ void MultiZoneFullNode::on_push(NodeId /*from*/, const BundlePushMsg& msg) {
     // body root). A fabricated push must not poison chains_ — a bogus
     // (producer, height) entry would freeze contiguous_ and block
     // reconstruction forever.
-    if (dir_.bundle(bundle.header.hash()) == nullptr) {
+    const Hash32 hash = bundle.header.hash();
+    if (dir_.bundle(hash) == nullptr) {
       ++push_verify_failures_;
       continue;
     }
-    store_bundle_record(bundle.header);
+    store_bundle_record(bundle.header, hash);
   }
 }
 

@@ -9,7 +9,6 @@
 #include <functional>
 #include <map>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "common/block_tracer.hpp"
@@ -88,14 +87,6 @@ class MultiZoneFullNode : public runtime::Actor {
     SimTime join_time = 0;
     SimTime last_seen = 0;
   };
-  struct HashKey {
-    std::size_t operator()(const Hash32& h) const {
-      std::size_t v;
-      __builtin_memcpy(&v, h.data(), sizeof(v));
-      return v;
-    }
-  };
-
   std::size_t k() const { return cfg_.n_consensus - cfg_.f; }
   SimTime now() const { return net_.now(); }
 
@@ -123,8 +114,10 @@ class MultiZoneFullNode : public runtime::Actor {
   void on_pull_miss(NodeId from, const BundleMissMsg& msg);
 
   // Data plane.
+  /// The stripe state of `header`, created on its first stripe.
+  StripeState& stripe_state(const BundleHeader& header);
   [[nodiscard]] bool try_byte_decode(StripeState& state);
-  void store_bundle_record(const BundleHeader& header);
+  void store_bundle_record(const BundleHeader& header, const Hash32& hash);
   void try_reconstruct_blocks();
   /// Send one repair pull for the block's missing bundles at the
   /// current ladder rung (advances the rung).
@@ -172,7 +165,11 @@ class MultiZoneFullNode : public runtime::Actor {
   std::vector<SimTime> last_stripe_at_;   ///< Per stripe index.
   std::vector<SimTime> provider_since_;   ///< When current provider set.
   SimTime last_any_stripe_ = 0;
-  std::unordered_map<Hash32, StripeState, HashKey> stripes_
+  // Stripe state per distinct header, keyed by its (producer, height)
+  // slot; a slot holds more than one only if the producer equivocated.
+  // Found by full-header equality, so a stripe costs no header hash: a
+  // header is hashed once, when its bundle decodes.
+  std::multimap<std::pair<NodeId, BundleHeight>, StripeState> stripes_
       PREDIS_MSG_DERIVED;
   std::vector<std::map<BundleHeight, Hash32>> chains_;
   std::vector<BundleHeight> contiguous_;

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "common/types.hpp"
@@ -48,6 +47,9 @@ class Simulator {
   bool empty() const { return queue_.empty(); }
 
  private:
+  /// The one event loop: fire events up to `limit` in (time, seq) order.
+  std::size_t drain(SimTime limit);
+
   struct Event {
     SimTime time;
     std::uint64_t seq;
@@ -64,7 +66,9 @@ class Simulator {
   SimTime now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  /// Binary heap under Later (std::push_heap/pop_heap), so the next
+  /// event is moved out of the container instead of copied off top().
+  std::vector<Event> queue_;
 };
 
 }  // namespace predis::sim

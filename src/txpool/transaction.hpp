@@ -7,6 +7,7 @@
 // the optimization.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -48,7 +49,28 @@ struct Transaction {
     return tx;
   }
 
-  Hash32 id() const { return hash_of(*this); }
+  /// Bytes encode() writes: fixed-width fields, no length prefixes.
+  static constexpr std::size_t kEncodedSize = 4 + 8 + 4 + 8 + 8 + 4;
+
+  /// SHA-256 of the encode() bytes, equal to hash_of(*this). Encodes
+  /// into a stack buffer: ids are the Merkle leaves of every bundle and
+  /// block root, so this is the hottest hash call in the simulator.
+  Hash32 id() const {
+    std::array<std::uint8_t, kEncodedSize> buf;
+    std::size_t pos = 0;
+    const auto put = [&buf, &pos](std::uint64_t v, std::size_t width) {
+      for (std::size_t i = 0; i < width; ++i) {
+        buf[pos++] = static_cast<std::uint8_t>(v >> (8 * i));
+      }
+    };
+    put(client, 4);
+    put(seq, 8);
+    put(size, 4);
+    put(static_cast<std::uint64_t>(submitted_at), 8);
+    put(payload_seed, 8);
+    put(target_consensus, 4);
+    return Sha256::hash(BytesView{buf.data(), buf.size()});
+  }
 
   bool operator==(const Transaction&) const = default;
 };

@@ -117,6 +117,89 @@ TEST_F(MempoolFixture, TamperedTransactionsRejected) {
   EXPECT_EQ(mempool.add(b), AddBundleResult::kBadTxRoot);
 }
 
+std::vector<Hash32> ids_of(const std::vector<Transaction>& block_txs) {
+  std::vector<Hash32> ids;
+  for (const auto& tx : block_txs) ids.push_back(tx.id());
+  return ids;
+}
+
+TEST_F(MempoolFixture, TamperedTransactionsRejectedBeforeParking) {
+  const Bundle b1 = next_bundle(0, {1, 0, 0, 0});
+  Bundle b2 = next_bundle(0, {2, 0, 0, 0});
+  b2.txs[0].payload_seed ^= 1;  // tampered after signing
+  // Rule 2 runs before an orphan is parked, so the tampered child is
+  // never buffered and the parent's arrival cannot admit it.
+  EXPECT_EQ(mempool.add(b2), AddBundleResult::kBadTxRoot);
+  EXPECT_EQ(mempool.pending_count(0), 0u);
+  EXPECT_EQ(mempool.add(b1), AddBundleResult::kAdded);
+  EXPECT_FALSE(mempool.chain(0).has(2));
+}
+
+TEST_F(MempoolFixture, ParkedBundleIsStillRejectedOnRetry) {
+  const Bundle b1 = next_bundle(0, {1, 5, 0, 0});
+  // Child whose tip list regresses on chain 1: only checkable once the
+  // parent is present, i.e. on retry from the buffer.
+  const Bundle b2 = make_bundle(0, 2, b1.header.hash(), {2, 4, 0, 0},
+                                txs(2, 9), KeyPair::from_seed(0));
+  EXPECT_EQ(mempool.add(b2), AddBundleResult::kMissingParent);
+  EXPECT_EQ(mempool.pending_count(0), 1u);
+  EXPECT_EQ(mempool.add(b1), AddBundleResult::kAdded);
+  EXPECT_FALSE(mempool.chain(0).has(2));
+  EXPECT_EQ(mempool.chain(0).contiguous_height(), 1u);
+  EXPECT_EQ(mempool.pending_count(0), 0u);
+}
+
+TEST_F(MempoolFixture, ParkedBundleKeepsItsLeavesThroughRetry) {
+  const Bundle b1 = next_bundle(0, {1, 0, 0, 0}, 3);
+  const Bundle b2 = next_bundle(0, {2, 0, 0, 0}, 3);
+  EXPECT_EQ(mempool.add(b2), AddBundleResult::kMissingParent);
+  EXPECT_EQ(mempool.add(b1), AddBundleResult::kAdded);
+  ASSERT_NE(mempool.chain(0).leaves(2), nullptr);
+  EXPECT_EQ(*mempool.chain(0).leaves(2), ids_of(b2.txs));
+}
+
+TEST_F(MempoolFixture, StoredLeavesAreReleasedAtConfirm) {
+  const Bundle b1 = next_bundle(0, {1, 0, 0, 0}, 3);
+  const Bundle b2 = next_bundle(0, {2, 0, 0, 0}, 3);
+  ASSERT_EQ(mempool.add(b1), AddBundleResult::kAdded);
+  ASSERT_EQ(mempool.add(b2), AddBundleResult::kAdded);
+  ASSERT_NE(mempool.chain(0).leaves(1), nullptr);
+  EXPECT_EQ(*mempool.chain(0).leaves(1), ids_of(b1.txs));
+
+  mempool.confirm({1, 0, 0, 0});
+  // The bundle stays (for fetches) but its leaves are gone; the
+  // unconfirmed one keeps them.
+  EXPECT_TRUE(mempool.chain(0).has(1));
+  EXPECT_EQ(mempool.chain(0).leaves(1), nullptr);
+  ASSERT_NE(mempool.chain(0).leaves(2), nullptr);
+  EXPECT_EQ(*mempool.chain(0).leaves(2), ids_of(b2.txs));
+}
+
+TEST_F(MempoolFixture, OwnBundleStoresTheProducersLeaves) {
+  StoredBundle own = make_stored_bundle(0, 1, kZeroHash, {1, 0, 0, 0},
+                                        txs(4, 1), KeyPair::from_seed(0));
+  EXPECT_EQ(own.leaves, ids_of(own.bundle.txs));
+  EXPECT_EQ(own.bundle, make_bundle(0, 1, kZeroHash, {1, 0, 0, 0}, txs(4, 1),
+                                    KeyPair::from_seed(0)));
+  const Bundle bundle = own.bundle;
+  EXPECT_EQ(mempool.add(bundle, std::move(own.leaves)),
+            AddBundleResult::kAdded);
+  ASSERT_NE(mempool.chain(0).leaves(1), nullptr);
+  EXPECT_EQ(*mempool.chain(0).leaves(1), ids_of(bundle.txs));
+}
+
+TEST_F(MempoolFixture, OwnBundleLeavesAreCheckedAgainstTxRoot) {
+  StoredBundle own = make_stored_bundle(0, 1, kZeroHash, {1, 0, 0, 0},
+                                        txs(4, 1), KeyPair::from_seed(0));
+  std::vector<Hash32> wrong = own.leaves;
+  wrong[2][0] ^= 1;
+  EXPECT_EQ(mempool.add(own.bundle, wrong), AddBundleResult::kBadTxRoot);
+  std::vector<Hash32> short_leaves(own.leaves.begin(), own.leaves.end() - 1);
+  EXPECT_EQ(mempool.add(own.bundle, short_leaves),
+            AddBundleResult::kBadTxRoot);
+  EXPECT_FALSE(mempool.chain(0).has(1));
+}
+
 TEST_F(MempoolFixture, MalformedBundlesRejected) {
   // Unknown chain id.
   Bundle bad = make_bundle(7, 1, kZeroHash, {0, 0, 0, 0}, txs(1, 1),

@@ -186,6 +186,62 @@ TEST(PredisBlock, VerifyDetectsWrongTxRoot) {
             BlockVerifyResult::kBadTxRoot);
 }
 
+Hash32 root_over_ids(const std::vector<Transaction>& txs) {
+  std::vector<Hash32> ids;
+  for (const auto& tx : txs) ids.push_back(tx.id());
+  return MerkleTree::root_of(ids);
+}
+
+TEST(PredisBlock, VerifyFromStoredLeavesRejectsWrongTxRoot) {
+  const Mempool mp = full_mempool(2, 3);
+  // Every referenced bundle still holds the leaves it was checked
+  // against, so this verify folds them without hashing a transaction.
+  for (std::size_t chain = 0; chain < kN; ++chain) {
+    ASSERT_NE(mp.chain(chain).leaves(1), nullptr);
+  }
+  PredisBlock block = build_predis_block(
+      mp, 0, kF, 1, 0, kZeroHash, std::vector<BundleHeight>(kN, 0),
+      leader_key());
+  EXPECT_EQ(verify_predis_block(mp, block, leader_key().public_key()),
+            BlockVerifyResult::kOk);
+  block.tx_root[5] ^= 1;
+  block.signature = leader_key().sign(BytesView{block.signing_bytes()});
+  EXPECT_EQ(verify_predis_block(mp, block, leader_key().public_key()),
+            BlockVerifyResult::kBadTxRoot);
+}
+
+TEST(PredisBlock, VerifyRecomputesLeavesReleasedByConfirm) {
+  Mempool mp = full_mempool(3, 4);
+  const PredisBlock block = build_predis_block(
+      mp, 0, kF, 1, 0, kZeroHash, std::vector<BundleHeight>(kN, 0),
+      leader_key());
+  mp.confirm(block.cut_heights);
+  ASSERT_EQ(mp.chain(0).leaves(1), nullptr);
+  EXPECT_EQ(verify_predis_block(mp, block, leader_key().public_key()),
+            BlockVerifyResult::kOk);
+
+  PredisBlock wrong = block;
+  wrong.tx_root = Sha256::hash(as_bytes(std::string("wrong")));
+  wrong.signature = leader_key().sign(BytesView{wrong.signing_bytes()});
+  EXPECT_EQ(verify_predis_block(mp, wrong, leader_key().public_key()),
+            BlockVerifyResult::kBadTxRoot);
+}
+
+TEST(PredisBlock, TxRootFromStoredLeavesEqualsRootOverTransactionIds) {
+  Mempool mp = full_mempool(3, 5);
+  const PredisBlock block = build_predis_block(
+      mp, 0, kF, 1, 0, kZeroHash, std::vector<BundleHeight>(kN, 0),
+      leader_key());
+  const Hash32 expected = root_over_ids(extract_transactions(mp, block));
+  EXPECT_EQ(block.tx_root, expected);
+  EXPECT_EQ(compute_block_tx_root(mp, block.prev_heights, block.cut_heights),
+            expected);
+  // Half the chains released: stored and recomputed leaves mix.
+  mp.confirm({3, 3, 0, 0});
+  EXPECT_EQ(compute_block_tx_root(mp, block.prev_heights, block.cut_heights),
+            expected);
+}
+
 TEST(PredisBlock, EncodeDecodeRoundTrip) {
   const Mempool mp = full_mempool(2, 3);
   const PredisBlock block = build_predis_block(

@@ -91,6 +91,43 @@ TEST(PredisPbft, MissingBundlesAreFetchedAndBlocksStillCommit) {
   EXPECT_TRUE(cluster.ledger.consistent());
 }
 
+// Every executing node records the Merkle root over the ids of the
+// transactions it executed, folded from its own stored leaves — also
+// node 1, whose missing bundles arrive through fetches.
+TEST(PredisPbft, ExecutedTxRootEqualsRootOverExecutedTransactionIds) {
+  PPbft cluster;
+  int counter = 0;
+  cluster.net.set_drop_filter(
+      [&](NodeId from, NodeId to, const runtime::Message& msg) {
+        return from == cluster.ids[3] && to == cluster.ids[1] &&
+               std::string(msg.name()) == "Bundle" && ++counter % 3 == 0;
+      });
+  std::vector<std::size_t> checked(cluster.nodes.size(), 0);
+  for (std::size_t i = 0; i < cluster.nodes.size(); ++i) {
+    auto roots = std::make_shared<std::vector<Hash32>>();
+    cluster.nodes[i]->on_committed_block =
+        [roots](const Hash32&, const Hash32& tx_root, std::size_t, SimTime) {
+          roots->push_back(tx_root);
+        };
+    cluster.nodes[i]->engine().on_block_executed =
+        [roots, &checked, i](const PredisBlock&,
+                             const std::vector<Transaction>& txs) {
+          std::vector<Hash32> ids;
+          for (const auto& tx : txs) ids.push_back(tx.id());
+          ASSERT_FALSE(roots->empty());
+          EXPECT_EQ(roots->back(),
+                    ids.empty() ? kZeroHash : MerkleTree::root_of(ids));
+          ++checked[i];
+        };
+  }
+  cluster.add_predis_clients(800, seconds(2));
+  cluster.net.start();
+  cluster.run_until(seconds(3));
+  for (std::size_t i = 0; i < checked.size(); ++i) {
+    EXPECT_GT(checked[i], 10u) << "node " << i;
+  }
+}
+
 TEST(PredisPbft, LeaderCrashViewChangeRecovers) {
   PPbft cluster;
   cluster.add_predis_clients(800, seconds(4));

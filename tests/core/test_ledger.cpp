@@ -1,5 +1,7 @@
 #include "core/ledger.hpp"
 
+#include "bundle/predis_block.hpp"
+
 #include <gtest/gtest.h>
 
 namespace predis::core {
@@ -18,10 +20,19 @@ Hash32 digest(std::uint64_t tag) {
   return Sha256::hash(as_bytes("payload-" + std::to_string(tag)));
 }
 
+/// Appends the block the way a committing node does: with the Merkle
+/// root over the transaction ids it already holds.
+const LedgerEntry& append_block(Ledger& ledger, const Hash32& payload_digest,
+                                const std::vector<Transaction>& block_txs,
+                                SimTime when) {
+  return ledger.append_block(payload_digest, Bundle::tx_root_of(block_txs),
+                             block_txs.size(), when);
+}
+
 TEST(Ledger, AppendsChainAndCounts) {
   Ledger ledger;
-  ledger.append_block(digest(1), txs(5, 1), milliseconds(10));
-  ledger.append_block(digest(2), txs(3, 2), milliseconds(20));
+  append_block(ledger, digest(1), txs(5, 1), milliseconds(10));
+  append_block(ledger, digest(2), txs(3, 2), milliseconds(20));
   EXPECT_EQ(ledger.size(), 2u);
   EXPECT_EQ(ledger.total_txs(), 8u);
   EXPECT_TRUE(ledger.verify_chain());
@@ -32,7 +43,7 @@ TEST(Ledger, AppendsChainAndCounts) {
 
 TEST(Ledger, RejectsNonChainingAppends) {
   Ledger ledger;
-  ledger.append_block(digest(1), txs(1, 1), 0);
+  append_block(ledger, digest(1), txs(1, 1), 0);
 
   LedgerEntry bad;
   bad.height = 3;  // skips height 2
@@ -46,21 +57,21 @@ TEST(Ledger, RejectsNonChainingAppends) {
 
 TEST(Ledger, VerifyChainDetectsTampering) {
   Ledger a;
-  a.append_block(digest(1), txs(2, 1), 0);
-  a.append_block(digest(2), txs(2, 2), 0);
+  append_block(a, digest(1), txs(2, 1), 0);
+  append_block(a, digest(2), txs(2, 2), 0);
   EXPECT_TRUE(a.verify_chain());
   // Ledger's API prevents tampering; simulate divergence via two
   // ledgers built from different histories instead.
   Ledger b;
-  b.append_block(digest(9), txs(2, 9), 0);
+  append_block(b, digest(9), txs(2, 9), 0);
   EXPECT_FALSE(a.prefix_consistent_with(b));
 }
 
 TEST(Ledger, PrefixConsistencyToleratesDifferentLengths) {
   Ledger a, b;
-  a.append_block(digest(1), txs(1, 1), 0);
-  a.append_block(digest(2), txs(1, 2), 0);
-  b.append_block(digest(1), txs(1, 1), 0);
+  append_block(a, digest(1), txs(1, 1), 0);
+  append_block(a, digest(2), txs(1, 2), 0);
+  append_block(b, digest(1), txs(1, 1), 0);
   EXPECT_TRUE(a.prefix_consistent_with(b));
   EXPECT_TRUE(b.prefix_consistent_with(a));
 }
@@ -68,11 +79,11 @@ TEST(Ledger, PrefixConsistencyToleratesDifferentLengths) {
 TEST(Ledger, ExportImportStateTransfer) {
   Ledger full;
   for (int i = 1; i <= 6; ++i) {
-    full.append_block(digest(i), txs(2, i), milliseconds(i));
+    append_block(full, digest(i), txs(2, i), milliseconds(i));
   }
   Ledger lagging;
   for (int i = 1; i <= 2; ++i) {
-    lagging.append_block(digest(i), txs(2, i), milliseconds(i));
+    append_block(lagging, digest(i), txs(2, i), milliseconds(i));
   }
   const Bytes range = full.export_range(1, 6);
   EXPECT_EQ(lagging.import_range(range), 4u);
@@ -84,15 +95,15 @@ TEST(Ledger, ExportImportStateTransfer) {
 
 TEST(Ledger, ImportDetectsDivergentHistory) {
   Ledger a, b;
-  a.append_block(digest(1), txs(1, 1), 0);
-  b.append_block(digest(99), txs(1, 99), 0);
+  append_block(a, digest(1), txs(1, 1), 0);
+  append_block(b, digest(99), txs(1, 99), 0);
   const Bytes range = a.export_range(1, 1);
   EXPECT_THROW(b.import_range(range), std::logic_error);
 }
 
 TEST(Ledger, ExportRangeValidation) {
   Ledger ledger;
-  ledger.append_block(digest(1), txs(1, 1), 0);
+  append_block(ledger, digest(1), txs(1, 1), 0);
   EXPECT_THROW(ledger.export_range(0, 1), std::out_of_range);
   EXPECT_THROW(ledger.export_range(1, 2), std::out_of_range);
   EXPECT_THROW(ledger.export_range(2, 1), std::out_of_range);
@@ -105,6 +116,48 @@ TEST(Ledger, EmptyLedgerBasics) {
   EXPECT_EQ(ledger.head_hash(), kZeroHash);
   EXPECT_EQ(ledger.at(1), nullptr);
   EXPECT_TRUE(ledger.verify_chain());
+}
+
+// The executing node's ledger root is folded from the leaves its
+// mempool stored when each bundle arrived, before confirm releases
+// them; it must equal the root over the ids of the extracted
+// transactions, which is what the ledger used to hash itself.
+TEST(Ledger, TxRootFromStoredLeavesEqualsRootOverExtractedIds) {
+  constexpr std::size_t kNodes = 4;
+  std::vector<PublicKey> keys;
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    keys.push_back(KeyPair::from_seed(i).public_key());
+  }
+  Mempool mempool(kNodes, keys);
+  for (std::size_t producer = 0; producer < kNodes; ++producer) {
+    Hash32 parent = kZeroHash;
+    for (BundleHeight h = 1; h <= 2; ++h) {
+      const Bundle b = make_bundle(
+          static_cast<NodeId>(producer), h, parent,
+          std::vector<BundleHeight>(kNodes, 2), txs(3 + producer, h),
+          KeyPair::from_seed(producer));
+      parent = b.header.hash();
+      ASSERT_EQ(mempool.add(b), AddBundleResult::kAdded);
+    }
+  }
+  const PredisBlock block =
+      build_predis_block(mempool, 0, 1, 1, 0, kZeroHash,
+                         std::vector<BundleHeight>(kNodes, 0),
+                         KeyPair::from_seed(0));
+
+  // The engine's execution order: extract, fold, confirm, append.
+  const std::vector<Transaction> executed =
+      extract_transactions(mempool, block);
+  const Hash32 tx_root =
+      compute_block_tx_root(mempool, block.prev_heights, block.cut_heights);
+  mempool.confirm(block.cut_heights);
+  Ledger ledger;
+  ledger.append_block(block.hash(), tx_root, executed.size(), 0);
+
+  std::vector<Hash32> ids;
+  for (const auto& tx : executed) ids.push_back(tx.id());
+  EXPECT_EQ(ledger.head()->tx_root, MerkleTree::root_of(ids));
+  EXPECT_EQ(ledger.head()->tx_count, executed.size());
 }
 
 }  // namespace

@@ -266,6 +266,41 @@ TEST_F(ZoneFixture, TamperedRealStripeIsRejectedBeforeCounting) {
   EXPECT_EQ(node->decoded_bundles(), 1u);
 }
 
+TEST_F(ZoneFixture, ConflictingHeadersAtOneSlotStayDistinct) {
+  auto* node = add_full_node(0, 0);
+  std::vector<BundleHeader> decoded;
+  node->on_bundle_decoded = [&decoded](const BundleHeader& h, SimTime) {
+    decoded.push_back(h);
+  };
+  net.start();
+  net.run_until(milliseconds(200));
+
+  // An equivocating producer signs two headers for chain 0, height 1.
+  const auto sign_bundle = [](std::uint64_t seq) {
+    std::vector<Transaction> txs(1);
+    txs[0].seq = seq;
+    return make_bundle(0, 1, kZeroHash, std::vector<BundleHeight>(kN, 0),
+                       std::move(txs), KeyPair::from_seed(1000));
+  };
+  const Bundle a = sign_bundle(700);
+  const Bundle b = sign_bundle(701);
+  ASSERT_NE(a.header.hash(), b.header.hash());
+
+  // k = 3 stripes decode a bundle. Two stripes of A and one of B must
+  // not: state shared by the slot alone would count all three as A's.
+  producers[0]->send_stripe(a.header, a.wire_size());
+  producers[1]->send_stripe(a.header, a.wire_size());
+  producers[2]->send_stripe(b.header, b.wire_size());
+  net.run_until(milliseconds(400));
+  EXPECT_TRUE(decoded.empty());
+
+  producers[3]->send_stripe(a.header, a.wire_size());
+  net.run_until(milliseconds(600));
+  ASSERT_EQ(decoded.size(), 1u);
+  EXPECT_EQ(decoded[0], a.header);
+  EXPECT_EQ(node->decoded_bundles(), 1u);
+}
+
 TEST_F(ZoneFixture, OrdinaryNodeReconstructsBlocksThroughRelayers) {
   // Fill the zone with kN relayers plus one ordinary node.
   for (std::size_t i = 0; i < kN + 1; ++i) {

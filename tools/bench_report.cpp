@@ -288,6 +288,41 @@ int emit_micro(const std::string& dir, bool smoke, double budget_ms) {
       predis::make_bundle(0, 1, predis::kZeroHash, {1, 0, 0, 0}, txs, key);
   predis::erasure::StripeCodec::Encoded arena;
 
+  // A cluster-ppbft-sized block: 4 chains x 6 bundles x 50 txs = 1200
+  // transactions. `held` keeps the leaves each bundle was validated
+  // with; in `released` confirm dropped them, so every root hashes all
+  // 1200 transactions again — the cost each node paid per root before
+  // stored leaves.
+  constexpr std::size_t kChains = 4;
+  constexpr predis::BundleHeight kBundles = 6;
+  std::vector<predis::PublicKey> producer_keys;
+  for (std::size_t c = 0; c < kChains; ++c) {
+    producer_keys.push_back(KeyPair::from_seed(c).public_key());
+  }
+  predis::Mempool held(kChains, producer_keys);
+  for (std::size_t c = 0; c < kChains; ++c) {
+    Hash32 parent = predis::kZeroHash;
+    for (predis::BundleHeight h = 1; h <= kBundles; ++h) {
+      std::vector<predis::Transaction> block_txs(50);
+      for (std::size_t i = 0; i < block_txs.size(); ++i) {
+        block_txs[i].client = static_cast<predis::NodeId>(c);
+        block_txs[i].seq = h * 100 + i;
+      }
+      const predis::Bundle b = predis::make_bundle(
+          static_cast<predis::NodeId>(c), h, parent,
+          std::vector<predis::BundleHeight>(kChains, kBundles),
+          std::move(block_txs), KeyPair::from_seed(c));
+      parent = b.header.hash();
+      held.add(b);
+    }
+  }
+  const predis::PredisBlock block = predis::build_predis_block(
+      held, 0, 1, 1, 0, predis::kZeroHash,
+      std::vector<predis::BundleHeight>(kChains, 0), key);
+  predis::Mempool released = held;
+  released.confirm(block.cut_heights);
+  const predis::PublicKey leader_key = key.public_key();
+
   std::vector<Entry> entries;
   entries.push_back({"sha256/25600", 25'600, [&] {
                        benchmark_sink(Sha256::hash(data)[0]);
@@ -303,6 +338,27 @@ int emit_micro(const std::string& dir, bool smoke, double budget_ms) {
                        codec.encode_into(bundle, arena);
                        benchmark_sink(arena.stripes.back().data.back());
                      }});
+  entries.push_back({"tx_id", 0, [&] {
+                       benchmark_sink(txs[7].id()[0]);
+                     }});
+  entries.push_back({"tx_id_writer", 0, [&] {
+                       benchmark_sink(predis::hash_of(txs[7])[0]);
+                     }});
+  for (const auto& [suffix, pool] :
+       {std::pair{"", &held}, std::pair{"_rehash", &released}}) {
+    const predis::Mempool& mp = *pool;
+    entries.push_back({std::string("block_tx_root") + suffix + "/1200", 0,
+                       [&mp, &block] {
+                         benchmark_sink(predis::compute_block_tx_root(
+                             mp, block.prev_heights, block.cut_heights)[0]);
+                       }});
+    entries.push_back(
+        {std::string("predis_block_verify") + suffix + "/1200", 0,
+         [&mp, &block, &leader_key] {
+           benchmark_sink(static_cast<std::size_t>(
+               predis::verify_predis_block(mp, block, leader_key)));
+         }});
+  }
 
   // Crypto-kernel sweep: the single-stream and pair-batch shapes timed
   // through every compiled-in + CPU-supported kernel, so the report

@@ -198,7 +198,10 @@ int main(int argc, char** argv) {
     if (n.scenario == "predis_cluster" && n.committed_txs == 0) ok = false;
   }
 
-  std::string json = "{\n  \"runs\": [\n";
+  std::string json = "{\n  \"schema\": \"predis-runtime/1\", ";
+  json += "\"tool\": \"runtime_report\", ";
+  json += smoke ? "\"smoke\": true,\n" : "\"smoke\": false,\n";
+  json += "  \"runs\": [\n";
   for (std::size_t i = 0; i < runs.size(); ++i) {
     append_json(json, runs[i], i + 1 == runs.size());
   }
