@@ -50,11 +50,11 @@ struct ClusterConfig {
   SimTime view_timeout = milliseconds(2000);
   SimTime duration = seconds(15);
   SimTime warmup = seconds(5);
-  /// Post-duration drain: leaders stop cutting payloads at `duration`
-  /// and the run continues this much longer so every in-flight
-  /// proposal reaches commit (HotStuff needs two extra chained rounds;
-  /// a WAN round is ~150-400 ms). Keeps the block trace closed: every
-  /// cut-proposed entry ends with a commit.
+  /// Post-duration drain: leaders keep cutting payloads a short grace
+  /// past `duration` (see run_cluster), and the run continues this much
+  /// longer so every cut proposal reaches commit (HotStuff needs two
+  /// extra chained rounds; a WAN round is ~150-400 ms). Keeps the block
+  /// trace closed: every cut-proposed entry ends with a commit.
   SimTime drain = milliseconds(1500);
   std::uint64_t seed = 1;
 

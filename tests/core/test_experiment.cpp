@@ -31,6 +31,25 @@ TEST_P(AllProtocols, CommitsOfferedLoadWhenUnderCapacity) {
   EXPECT_GT(r.commit_events, 10u);
 }
 
+// Every transaction a client submits before `duration` is proposed and
+// committed. Leaders used to stop cutting exactly at `duration`, which
+// stranded the last ~250 ms of submissions in the mempools.
+TEST_P(AllProtocols, CommitsEverySubmittedTransactionWhenUnderCapacity) {
+  const ClusterResult r = run_cluster(base_config(GetParam(), 1500));
+  EXPECT_GT(r.submitted_txs, 0u);
+  EXPECT_EQ(r.committed_txs, r.submitted_txs) << to_string(GetParam());
+}
+
+TEST(Experiment, PaperWanPPbftCommitsEverySubmittedTransaction) {
+  ClusterConfig cfg = base_config(Protocol::kPredisPbft, 16'000);
+  cfg.wan = true;
+  cfg.n_clients = 8;
+  const ClusterResult r = run_cluster(cfg);
+  EXPECT_EQ(r.submitted_txs, 128'000u);
+  EXPECT_EQ(r.committed_txs, r.submitted_txs);
+  EXPECT_TRUE(r.ledgers_consistent);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Protocols, AllProtocols,
     ::testing::Values(Protocol::kPbft, Protocol::kHotStuff,
