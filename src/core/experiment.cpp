@@ -53,7 +53,7 @@ ClusterResult run_cluster(const ClusterConfig& cfg) {
   runtime::SimRuntime sim_backend(cfg.wan ? runtime::wan_latency()
                                           : runtime::lan_latency());
   runtime::Runtime& net =
-      cfg.ctx.backend != nullptr ? *cfg.ctx.backend : sim_backend.runtime();
+      cfg.ctx.backend != nullptr ? *cfg.ctx.backend : sim_backend;
   if (cfg.ctx.trace != nullptr) net.set_tracer(cfg.ctx.trace);
   const std::size_t regions = cfg.wan ? runtime::kWanRegions : 1;
 

@@ -90,10 +90,9 @@ struct ClusterResult {
   /// Filled when config.ctx.tracer was set: per-stage latency breakdowns.
   std::vector<TraceStageStats> stage_latency;
   /// SHA-256 over every node's final hash-chained ledger (lengths +
-  /// head hashes) and the committed-tx count. Two backends that decided
+  /// head hashes) and the committed-tx count. Two runs that decided
   /// the same blocks in the same order agree on this string; the
-  /// backend-equivalence tests compare it across Runtime
-  /// implementations.
+  /// golden-digest tests pin it across commits.
   std::string commit_digest;
 };
 

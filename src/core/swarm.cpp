@@ -32,7 +32,7 @@ bool has_predis_engine(Protocol p) {
 SwarmCaseResult run_swarm_case(const SwarmCaseConfig& cfg) {
   runtime::SimRuntime backend(cfg.wan ? runtime::wan_latency()
                                       : runtime::lan_latency());
-  runtime::Runtime& net = backend.runtime();
+  runtime::Runtime& net = backend;
   const std::size_t regions = cfg.wan ? runtime::kWanRegions : 1;
 
   runtime::TraceHasher tracer;

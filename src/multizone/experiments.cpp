@@ -37,7 +37,7 @@ const char* to_string(Topology t) {
 ThroughputResult run_distribution_cluster(const ThroughputConfig& cfg) {
   runtime::SimRuntime sim_backend((runtime::lan_latency()));
   runtime::Runtime& net =
-      cfg.ctx.backend != nullptr ? *cfg.ctx.backend : sim_backend.runtime();
+      cfg.ctx.backend != nullptr ? *cfg.ctx.backend : sim_backend;
   if (cfg.ctx.trace != nullptr) net.set_tracer(cfg.ctx.trace);
 
   // Consensus nodes.
@@ -194,6 +194,8 @@ ThroughputResult run_distribution_cluster(const ThroughputConfig& cfg) {
   result.throughput_tps =
       metrics.throughput_tps(setup + cfg.warmup, setup + cfg.duration);
   result.avg_latency_ms = metrics.latencies().mean();
+  result.committed_txs = metrics.committed_txs();
+  result.submitted_txs = metrics.submitted_txs();
   result.consistent = ledger.consistent();
   double up = 0;
   for (NodeId id : consensus_ids) {
@@ -354,7 +356,7 @@ class StarProducer final : public runtime::Actor {
 PropagationResult run_propagation(const PropagationConfig& cfg) {
   runtime::SimRuntime sim_backend((runtime::lan_latency()));
   runtime::Runtime& net =
-      cfg.ctx.backend != nullptr ? *cfg.ctx.backend : sim_backend.runtime();
+      cfg.ctx.backend != nullptr ? *cfg.ctx.backend : sim_backend;
   if (cfg.ctx.trace != nullptr) net.set_tracer(cfg.ctx.trace);
   Rng rng(cfg.seed);
 

@@ -56,6 +56,8 @@ struct ThroughputConfig {
 struct ThroughputResult {
   double throughput_tps = 0.0;
   double avg_latency_ms = 0.0;
+  std::uint64_t committed_txs = 0;
+  std::uint64_t submitted_txs = 0;
   bool consistent = true;
   double consensus_uplink_mbps = 0.0;
   /// Aggregate wire bytes over consensus nodes (Metrics byte counters).

@@ -12,17 +12,17 @@
 //
 // Two backends implement the interface:
 //
-//   * sim::Network (wrapped by SimRuntime) — the deterministic
-//     discrete-event simulator. Bit-identical to the pre-seam
-//     simulator: swarm digests and invariants are unchanged.
+//   * SimRuntime — the deterministic discrete-event backend: one event
+//     heap and the paper's fluid bandwidth/latency model. Golden
+//     digests (tests/runtime/test_golden_digests.cpp) pin its
+//     behaviour across commits.
 //   * ThreadRuntime — per-node inbound MPSC queues, a timer wheel and
-//     a worker pool; wall-clock mode gives hardware-limited numbers,
-//     logical-clock mode reproduces the simulator byte-for-byte
-//     (tests/runtime enforces this, see docs/runtime.md).
+//     a worker pool on the wall clock, giving hardware-limited numbers.
+//     The same scenarios must commit every submitted transaction on it
+//     (tests/runtime/test_wall_contract.cpp, see docs/runtime.md).
 //
-// Protocol code outside src/sim/ and src/runtime/ must name only this
-// interface, never sim::Network or the Simulator — predis-lint rule D6
-// enforces that statically.
+// Protocol and harness code name only this interface; which backend
+// runs a scenario is the caller's choice (RunContext::backend).
 #pragma once
 
 #include <cstdint>
@@ -123,8 +123,8 @@ class Runtime {
 
   // --- Clock and timers ------------------------------------------------
 
-  /// Current time in nanoseconds: virtual on deterministic backends,
-  /// wall-clock-since-start on ThreadRuntime's wall mode.
+  /// Current time in nanoseconds: virtual on SimRuntime,
+  /// wall-clock-since-start on ThreadRuntime.
   virtual SimTime now() const = 0;
 
   /// Schedule `fn` after `delay` (>= 0) on behalf of node `owner`.

@@ -20,7 +20,7 @@ struct TestCluster {
                        SimTime latency = milliseconds(10),
                        SimTime view_timeout = milliseconds(400))
       : backend(runtime::LatencyMatrix::uniform(1, latency)),
-        net(backend.runtime()),
+        net(backend),
         ledger(metrics) {
     for (std::size_t i = 0; i < n; ++i) {
       ids.push_back(net.add_node(runtime::node_100mbps(0)));

@@ -76,7 +76,7 @@ TEST(ConfigureAttack, NoneYieldsEmptyPlan) {
   configure_attack(plan, AttackKind::kNone, 4);
   runtime::SimRuntime backend(
       runtime::LatencyMatrix::uniform(1, milliseconds(10)));
-  runtime::Runtime& net = backend.runtime();
+  runtime::Runtime& net = backend;
   std::vector<NodeId> ids;
   for (int i = 0; i < 4; ++i) {
     ids.push_back(net.add_node(runtime::NodeConfig{}));
@@ -229,7 +229,7 @@ TEST(HostileGossipBurst, CountsAndTargetsAreDeterministic) {
   auto run = [] {
     runtime::SimRuntime backend(
         runtime::LatencyMatrix::uniform(1, milliseconds(5)));
-    runtime::Runtime& net = backend.runtime();
+    runtime::Runtime& net = backend;
     struct Sink final : runtime::Actor {
       std::size_t received = 0;
       void on_message(NodeId, const runtime::MsgPtr&) override { ++received; }

@@ -208,17 +208,6 @@ TEST(PredisLint, D5PassesInApprovedTu) {
   EXPECT_TRUE(lint_fixture("bytes_cast_pass.cpp").empty());
 }
 
-TEST(PredisLint, D6FailsOnBackendTypesOutsideSeam) {
-  const auto diags = lint_fixture("d6_backend_type_fail.cpp");
-  ASSERT_EQ(count_rule(diags, "D6"), 2u);
-  EXPECT_NE(diags[0].message.find("Simulator"), std::string::npos);
-  EXPECT_NE(diags[1].message.find("sim::Network"), std::string::npos);
-}
-
-TEST(PredisLint, D6PassesThroughRuntimeSeam) {
-  EXPECT_TRUE(lint_fixture("d6_runtime_seam_pass.cpp").empty());
-}
-
 TEST(PredisLint, LinePragmaSuppressesNextLine) {
   EXPECT_TRUE(lint_fixture("allow_line_pass.cpp").empty());
 }

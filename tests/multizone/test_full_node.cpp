@@ -81,7 +81,7 @@ class TestProducer final : public runtime::Actor {
 struct ZoneFixture : ::testing::Test {
   ZoneFixture()
       : backend(runtime::LatencyMatrix::uniform(1, milliseconds(5))),
-        net(backend.runtime()),
+        net(backend),
         dir(n_zones) {
     for (std::size_t i = 0; i < kN; ++i) {
       const NodeId id = net.add_node(runtime::node_100mbps(0));

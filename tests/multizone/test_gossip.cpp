@@ -17,7 +17,7 @@ namespace {
 struct GossipNet {
   GossipNet()
       : backend(runtime::LatencyMatrix::uniform(1, milliseconds(10))),
-        net(backend.runtime()) {
+        net(backend) {
     for (int i = 0; i < 3; ++i) {
       ids.push_back(net.add_node(runtime::node_100mbps(0)));
     }

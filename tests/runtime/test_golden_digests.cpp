@@ -1,5 +1,4 @@
-// Golden digests: literal values the deterministic backend produced
-// before the simulator layers were folded into one SimRuntime. The
+// Golden digests: literal values of deterministic SimRuntime runs. The
 // delivery-trace digest folds (time, from, to, size, name) of every
 // delivery, so an unchanged digest means the whole message schedule is
 // unchanged. Unlike SeedDeterminism, which compares a run with itself,

@@ -1,7 +1,6 @@
-// ThreadRuntime behaviour: wall-clock mode runs actors on a real
-// worker pool (these tests are the TSAN surface for the backend — CI
-// runs them under -fsanitize=thread), logical mode is exercised by
-// test_backend_equivalence against the sim oracle.
+// ThreadRuntime behaviour: actors on a real worker pool. These tests
+// are the TSAN surface for the backend (CI runs them under
+// -fsanitize=thread); test_wall_contract runs whole scenarios on it.
 #include "runtime/thread_runtime.hpp"
 
 #include <gtest/gtest.h>
@@ -52,7 +51,6 @@ struct Ponger final : Actor {
 
 TEST(ThreadRuntimeWall, PingPongStormAcrossWorkersStaysConserved) {
   ThreadRuntimeConfig cfg;
-  cfg.clock = ClockMode::kWall;
   cfg.workers = 4;
   ThreadRuntime net(cfg);
 
@@ -85,7 +83,6 @@ TEST(ThreadRuntimeWall, PingPongStormAcrossWorkersStaysConserved) {
 
 TEST(ThreadRuntimeWall, TimersFireOnOwnersAndCancelCleanly) {
   ThreadRuntimeConfig cfg;
-  cfg.clock = ClockMode::kWall;
   cfg.workers = 2;
   ThreadRuntime net(cfg);
 
@@ -110,7 +107,6 @@ TEST(ThreadRuntimeWall, TimersFireOnOwnersAndCancelCleanly) {
 
 TEST(ThreadRuntimeWall, DownNodesDropTrafficAndRestartOnRecovery) {
   ThreadRuntimeConfig cfg;
-  cfg.clock = ClockMode::kWall;
   cfg.workers = 2;
   ThreadRuntime net(cfg);
 
@@ -151,7 +147,6 @@ TEST(ThreadRuntimeWall, OutageKeepsQueuedTimerTasksAndDropsQueuedMessages) {
   // lost its tick chain forever — fetch/packing timers never re-armed
   // after recovery. Only queued *messages* may be purged.
   ThreadRuntimeConfig cfg;
-  cfg.clock = ClockMode::kWall;
   cfg.workers = 2;
   ThreadRuntime net(cfg);
 
@@ -204,7 +199,6 @@ TEST(ThreadRuntimeWall, OutageKeepsQueuedTimerTasksAndDropsQueuedMessages) {
 
 TEST(ThreadRuntimeWall, DropFilterAppliesUnderConcurrency) {
   ThreadRuntimeConfig cfg;
-  cfg.clock = ClockMode::kWall;
   cfg.workers = 2;
   ThreadRuntime net(cfg);
 
@@ -230,6 +224,17 @@ TEST(ThreadRuntimeWall, DropFilterAppliesUnderConcurrency) {
   net.send(a, b, std::make_shared<PingMsg>());
   net.run_until(milliseconds(80));
   EXPECT_EQ(counter.messages.load(), 1);
+}
+
+TEST(ThreadRuntimeWall, AddNodeRejectsNonPositiveBandwidth) {
+  ThreadRuntime net(ThreadRuntimeConfig{});
+  NodeConfig bad;
+  bad.up_bw = 0;
+  EXPECT_THROW(net.add_node(bad), std::invalid_argument);
+  bad.up_bw = 1e6;
+  bad.down_bw = -1;
+  EXPECT_THROW(net.add_node(bad), std::invalid_argument);
+  EXPECT_EQ(net.node_count(), 0u);
 }
 
 }  // namespace

@@ -6,14 +6,19 @@
 #include <algorithm>
 #include <set>
 
-#include "sim/environments.hpp"
+#include "runtime/sim_runtime.hpp"
 
 namespace predis::sim {
 namespace {
 
+using runtime::Actor;
+using runtime::Message;
+using runtime::MsgPtr;
+using runtime::NodeConfig;
+
 struct Fixture {
-  Simulator sim;
-  Network net{sim, LatencyMatrix::uniform(1, milliseconds(10))};
+  runtime::SimRuntime net{
+      runtime::LatencyMatrix::uniform(1, milliseconds(10))};
   std::vector<NodeId> targets;
 
   explicit Fixture(std::size_t n = 4) {
@@ -77,7 +82,7 @@ TEST(FaultScheduler, InjectsEveryEventAndHealsByDeadline) {
   Fixture f;
   FaultScheduler fs(f.net, f.targets, cfg);
   fs.arm();
-  f.sim.run_until(fs.healed_by() + seconds(1));
+  f.net.run_until(fs.healed_by() + seconds(1));
 
   EXPECT_EQ(fs.faults_injected(), cfg.events);
   // Every crash healed: no target still down.
@@ -102,7 +107,7 @@ TEST(FaultScheduler, EquivocatorPopulationStaysWithinCap) {
   std::vector<NodeId> hits;
   fs.on_equivocate = [&](NodeId id) { hits.push_back(id); };
   fs.arm();
-  f.sim.run_until(cfg.horizon + seconds(1));
+  f.net.run_until(cfg.horizon + seconds(1));
 
   ASSERT_GE(hits.size(), 1u);
   const std::set<NodeId> distinct(hits.begin(), hits.end());
@@ -189,7 +194,7 @@ TEST(FaultScheduler, GarbageHookFiresOnPinnedNodeOnly) {
     hits.push_back(id);
   };
   fs.arm();
-  f.sim.run_until(fs.healed_by() + seconds(1));
+  f.net.run_until(fs.healed_by() + seconds(1));
   ASSERT_GE(hits.size(), 1u);
   for (NodeId id : hits) EXPECT_EQ(id, f.targets[1]);
 }
@@ -228,18 +233,18 @@ TEST(FaultScheduler, WithholderSwallowsDataPlaneButNotVotes) {
   ASSERT_EQ(fs.plan().size(), 1u);
   const FaultEvent ev = fs.plan()[0];
   // Mid-window: data-plane names dropped, votes pass.
-  f.sim.schedule_at(ev.at + ev.window / 2, [&] {
+  f.net.schedule_at(ev.at + ev.window / 2, [&] {
     f.net.send(f.targets[0], f.targets[1],
                std::make_shared<BundleLikeMsg>());
     f.net.send(f.targets[0], f.targets[1], std::make_shared<VoteLikeMsg>());
   });
   // Post-heal: everything flows again.
-  f.sim.schedule_at(ev.at + ev.window + seconds(1), [&] {
+  f.net.schedule_at(ev.at + ev.window + seconds(1), [&] {
     f.net.send(f.targets[0], f.targets[1],
                std::make_shared<BundleLikeMsg>());
   });
   f.net.start();
-  f.sim.run_until(ev.at + ev.window + seconds(2));
+  f.net.run_until(ev.at + ev.window + seconds(2));
   EXPECT_EQ(rx.votes, 1u);
   EXPECT_EQ(rx.bundles, 1u);  // only the post-heal one
   ASSERT_EQ(withholders.size(), 1u);
@@ -247,7 +252,7 @@ TEST(FaultScheduler, WithholderSwallowsDataPlaneButNotVotes) {
 }
 
 struct StampActor final : Actor {
-  Simulator* sim = nullptr;
+  runtime::SimRuntime* sim = nullptr;
   std::vector<SimTime> arrivals;
   void on_message(NodeId, const MsgPtr&) override {
     arrivals.push_back(sim->now());
@@ -262,19 +267,19 @@ TEST(FaultScheduler, ThrottleDelaysOutboundUnderTimeout) {
   cfg.throttle_delay = milliseconds(400);
   Fixture f;
   StampActor rx;
-  rx.sim = &f.sim;
+  rx.sim = &f.net;
   f.net.attach(f.targets[1], &rx);
   FaultScheduler fs(f.net, f.targets, cfg);
   fs.arm();
   ASSERT_EQ(fs.plan().size(), 1u);
   const FaultEvent ev = fs.plan()[0];
   const SimTime sent_at = ev.at + ev.window / 2;
-  f.sim.schedule_at(sent_at, [&] {
+  f.net.schedule_at(sent_at, [&] {
     f.net.send(f.targets[0], f.targets[1],
                std::make_shared<VoteLikeMsg>());
   });
   f.net.start();
-  f.sim.run_until(ev.at + ev.window + seconds(2));
+  f.net.run_until(ev.at + ev.window + seconds(2));
   ASSERT_EQ(rx.arrivals.size(), 1u);
   // The base fixture latency is 10 ms; anything near throttle_delay
   // proves the slow-leader path engaged.
@@ -294,7 +299,7 @@ TEST(FaultScheduler, ChurnStormKeepsAtMostOneNodeDown) {
   bool saw_down = false;
   // Sample the down-set densely across the whole storm.
   for (SimTime t = cfg.start; t < fs.healed_by(); t += milliseconds(5)) {
-    f.sim.schedule_at(t, [&] {
+    f.net.schedule_at(t, [&] {
       std::size_t down = 0;
       for (NodeId id : f.targets) {
         if (f.net.is_down(id)) ++down;
@@ -303,7 +308,7 @@ TEST(FaultScheduler, ChurnStormKeepsAtMostOneNodeDown) {
       saw_down = saw_down || down > 0;
     });
   }
-  f.sim.run_until(fs.healed_by() + seconds(1));
+  f.net.run_until(fs.healed_by() + seconds(1));
   EXPECT_TRUE(saw_down);
   EXPECT_LE(max_down, 1u);
   for (NodeId id : f.targets) EXPECT_FALSE(f.net.is_down(id));
@@ -362,17 +367,17 @@ TEST(FaultScheduler, PartitionCutsLinksBidirectionallyAndHeals) {
   f.net.attach(other, &on_other);
   fs.arm();
   // Mid-window: both directions across the cut are severed.
-  f.sim.schedule_at(ev.at + ev.window / 2, [&] {
+  f.net.schedule_at(ev.at + ev.window / 2, [&] {
     f.net.send(other, cut, std::make_shared<VoteLikeMsg>());
     f.net.send(cut, other, std::make_shared<VoteLikeMsg>());
   });
   // Post-heal: traffic flows again.
-  f.sim.schedule_at(ev.at + ev.window + seconds(1), [&] {
+  f.net.schedule_at(ev.at + ev.window + seconds(1), [&] {
     f.net.send(other, cut, std::make_shared<VoteLikeMsg>());
     f.net.send(cut, other, std::make_shared<VoteLikeMsg>());
   });
   f.net.start();
-  f.sim.run_until(ev.at + ev.window + seconds(2));
+  f.net.run_until(ev.at + ev.window + seconds(2));
   EXPECT_EQ(on_cut.messages, 1u);
   EXPECT_EQ(on_other.messages, 1u);
   // Heal pokes the cut side's recovery hook exactly once; the node

@@ -1,14 +1,16 @@
-#include "sim/simulator.hpp"
+// The event queue of the deterministic backend: (time, insertion
+// order) firing, cancellation and the clock.
+#include "runtime/sim_runtime.hpp"
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-namespace predis::sim {
+namespace predis::runtime {
 namespace {
 
 TEST(Simulator, ExecutesInTimeOrder) {
-  Simulator sim;
+  SimRuntime sim{LatencyMatrix::uniform(1, 0)};
   std::vector<int> order;
   sim.schedule_at(milliseconds(30), [&] { order.push_back(3); });
   sim.schedule_at(milliseconds(10), [&] { order.push_back(1); });
@@ -18,7 +20,7 @@ TEST(Simulator, ExecutesInTimeOrder) {
 }
 
 TEST(Simulator, TieBreaksByInsertionOrder) {
-  Simulator sim;
+  SimRuntime sim{LatencyMatrix::uniform(1, 0)};
   std::vector<int> order;
   sim.schedule_at(milliseconds(5), [&] { order.push_back(1); });
   sim.schedule_at(milliseconds(5), [&] { order.push_back(2); });
@@ -28,7 +30,7 @@ TEST(Simulator, TieBreaksByInsertionOrder) {
 }
 
 TEST(Simulator, NowAdvancesToEventTime) {
-  Simulator sim;
+  SimRuntime sim{LatencyMatrix::uniform(1, 0)};
   SimTime seen = -1;
   sim.schedule_after(milliseconds(7), [&] { seen = sim.now(); });
   sim.run();
@@ -36,12 +38,12 @@ TEST(Simulator, NowAdvancesToEventTime) {
 }
 
 TEST(Simulator, RunUntilStopsAtLimit) {
-  Simulator sim;
+  SimRuntime sim{LatencyMatrix::uniform(1, 0)};
   int fired = 0;
   sim.schedule_at(milliseconds(10), [&] { ++fired; });
   sim.schedule_at(milliseconds(20), [&] { ++fired; });
-  const std::size_t n = sim.run_until(milliseconds(15));
-  EXPECT_EQ(n, 1u);
+  sim.run_until(milliseconds(15));
+  EXPECT_EQ(sim.events_executed(), 1u);
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(sim.now(), milliseconds(15));
   sim.run();
@@ -49,7 +51,7 @@ TEST(Simulator, RunUntilStopsAtLimit) {
 }
 
 TEST(Simulator, CancelledTimerDoesNotFire) {
-  Simulator sim;
+  SimRuntime sim{LatencyMatrix::uniform(1, 0)};
   bool fired = false;
   TimerHandle h = sim.schedule_after(milliseconds(5), [&] { fired = true; });
   EXPECT_TRUE(h.scheduled());
@@ -60,7 +62,7 @@ TEST(Simulator, CancelledTimerDoesNotFire) {
 }
 
 TEST(Simulator, EventsMayScheduleMoreEvents) {
-  Simulator sim;
+  SimRuntime sim{LatencyMatrix::uniform(1, 0)};
   int depth = 0;
   std::function<void()> recurse = [&] {
     if (++depth < 5) sim.schedule_after(milliseconds(1), recurse);
@@ -72,7 +74,7 @@ TEST(Simulator, EventsMayScheduleMoreEvents) {
 }
 
 TEST(Simulator, SchedulingInPastThrows) {
-  Simulator sim;
+  SimRuntime sim{LatencyMatrix::uniform(1, 0)};
   sim.schedule_at(milliseconds(10), [] {});
   sim.run();
   EXPECT_THROW(sim.schedule_at(milliseconds(5), [] {}),
@@ -81,11 +83,11 @@ TEST(Simulator, SchedulingInPastThrows) {
 }
 
 TEST(Simulator, CountsExecutedEvents) {
-  Simulator sim;
+  SimRuntime sim{LatencyMatrix::uniform(1, 0)};
   for (int i = 0; i < 4; ++i) sim.schedule_after(i, [] {});
   sim.run();
   EXPECT_EQ(sim.events_executed(), 4u);
 }
 
 }  // namespace
-}  // namespace predis::sim
+}  // namespace predis::runtime

@@ -37,7 +37,7 @@ struct Recorder final : runtime::Actor {
 TEST(ClientResubmitOrder, BatchesEmitSeqsInAscendingOrder) {
   runtime::SimRuntime backend(
       runtime::LatencyMatrix::uniform(1, milliseconds(5)));
-  runtime::Runtime& net = backend.runtime();
+  runtime::Runtime& net = backend;
   Metrics metrics;
 
   BlackHole hole;

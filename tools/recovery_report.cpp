@@ -18,42 +18,17 @@
 //              scenario that injected no faults
 //   --out-dir  directory for BENCH_recovery.json (default: cwd)
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "core/swarm.hpp"
+#include "report_json.hpp"
 #include "sim/faults.hpp"
 
 namespace {
 
 using predis::core::Protocol;
-
-struct JsonWriter {
-  std::string buf;
-  void raw(const std::string& s) { buf += s; }
-  void kv(const char* key, double v, bool comma = true) {
-    char tmp[96];
-    std::snprintf(tmp, sizeof(tmp), "\"%s\": %.3f%s", key, v,
-                  comma ? ", " : "");
-    buf += tmp;
-  }
-  void kv(const char* key, std::size_t v, bool comma = true) {
-    char tmp[96];
-    std::snprintf(tmp, sizeof(tmp), "\"%s\": %zu%s", key, v,
-                  comma ? ", " : "");
-    buf += tmp;
-  }
-  void kv(const char* key, const char* v, bool comma = true) {
-    buf += std::string("\"") + key + "\": \"" + v + "\"" +
-           (comma ? ", " : "");
-  }
-  void kv(const char* key, bool v, bool comma = true) {
-    buf += std::string("\"") + key + "\": " + (v ? "true" : "false") +
-           (comma ? ", " : "");
-  }
-};
+using predis::report::JsonWriter;
 
 /// One (protocol, scenario) measurement, clean-relative.
 struct Cell {
@@ -228,37 +203,16 @@ void report_json(JsonWriter& j, const ProtocolReport& r, bool last) {
   j.raw(last ? "      ]}\n" : "      ]},\n");
 }
 
-int write_file(const std::string& path, const std::string& content) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "recovery_report: cannot write %s\n", path.c_str());
-    return 1;
-  }
-  out << content;
-  std::printf("wrote %s\n", path.c_str());
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  bool strict = false;
-  std::string out_dir = ".";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--strict") == 0) {
-      strict = true;
-    } else if (std::strcmp(argv[i], "--out-dir") == 0 && i + 1 < argc) {
-      out_dir = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: recovery_report [--smoke] [--strict] "
-                   "[--out-dir DIR]\n");
-      return 2;
-    }
+  predis::report::Flags flags;
+  if (!predis::report::parse_flags(
+          argc, argv, "recovery_report [--smoke] [--strict] [--out-dir DIR]",
+          flags)) {
+    return 2;
   }
+  const bool smoke = flags.smoke;
 
   std::vector<ProtocolReport> reports;
   reports.push_back(run_campaign(Protocol::kPredisPbft, smoke));
@@ -292,12 +246,13 @@ int main(int argc, char** argv) {
   }
   j.raw("  ]\n}\n");
 
-  const int write_rc = write_file(out_dir + "/BENCH_recovery.json", j.buf);
+  const int write_rc = predis::report::write_file(
+      "recovery_report", flags.out_dir + "/BENCH_recovery.json", j.buf);
 
   std::printf("\nsummary: safety %s, liveness %s, fault injection %s\n",
               all_safe ? "ok" : "VIOLATED", all_alive ? "ok" : "DEAD CELL",
               all_fired ? "ok" : "SILENT");
   if (write_rc != 0) return write_rc;
-  if (strict && (!all_safe || !all_alive || !all_fired)) return 1;
+  if (flags.strict && (!all_safe || !all_alive || !all_fired)) return 1;
   return 0;
 }

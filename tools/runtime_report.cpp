@@ -13,7 +13,8 @@
 // The scenario assembly code is byte-for-byte the same — only
 // RunContext::backend changes — which is the point of the seam: the
 // report fails loudly if a scenario can no longer run unmodified on
-// both. Emits machine-readable BENCH_runtime.json.
+// both. Emits machine-readable BENCH_runtime.json; a value the run does
+// not measure (the Multi-Zone runner's latency percentiles) is null.
 //
 // Usage: runtime_report [--smoke] [--strict] [--workers N] [--out-dir DIR]
 //   --smoke    reduced durations (CI-sized runs)
@@ -22,29 +23,35 @@
 //   --workers  worker threads for the wall-clock backend (default 4)
 //   --out-dir  directory for BENCH_runtime.json (default: cwd)
 #include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
 #include "multizone/experiments.hpp"
-#include "runtime/environments.hpp"
+#include "report_json.hpp"
 #include "runtime/thread_runtime.hpp"
 
 namespace {
 
 struct RunNumbers {
   std::string scenario;
-  std::string backend;   ///< "sim" or "threads".
-  std::string clock;     ///< "virtual" or "wall".
+  std::string backend;  ///< "sim" or "threads".
   std::size_t workers = 1;
   double throughput_tps = 0.0;
-  double p50_latency_ms = 0.0;
-  double p99_latency_ms = 0.0;
+  std::optional<double> p50_latency_ms;  ///< Empty: not measured.
+  std::optional<double> p99_latency_ms;
   std::uint64_t committed_txs = 0;
+  std::uint64_t submitted_txs = 0;
   bool consistent = true;
+
+  /// The internal SimRuntime runs on virtual time, ThreadRuntime on
+  /// the wall clock.
+  const char* clock_name() const {
+    return backend == "sim" ? "virtual" : "wall";
+  }
 };
 
 predis::core::ClusterConfig cluster_scenario(bool smoke) {
@@ -77,27 +84,25 @@ predis::multizone::ThroughputConfig zone_scenario(bool smoke) {
 }
 
 RunNumbers run_cluster_on(bool smoke, predis::runtime::Runtime* backend,
-                          const char* backend_name, const char* clock,
-                          std::size_t workers) {
+                          const char* backend_name, std::size_t workers) {
   predis::core::ClusterConfig cfg = cluster_scenario(smoke);
   cfg.ctx.backend = backend;
   const predis::core::ClusterResult r = predis::core::run_cluster(cfg);
   RunNumbers n;
   n.scenario = "predis_cluster";
   n.backend = backend_name;
-  n.clock = clock;
   n.workers = workers;
   n.throughput_tps = r.throughput_tps;
   n.p50_latency_ms = r.p50_latency_ms;
   n.p99_latency_ms = r.p99_latency_ms;
   n.committed_txs = r.committed_txs;
+  n.submitted_txs = r.submitted_txs;
   n.consistent = r.consistent && r.ledgers_consistent;
   return n;
 }
 
 RunNumbers run_zone_on(bool smoke, predis::runtime::Runtime* backend,
-                       const char* backend_name, const char* clock,
-                       std::size_t workers) {
+                       const char* backend_name, std::size_t workers) {
   predis::multizone::ThroughputConfig cfg = zone_scenario(smoke);
   cfg.ctx.backend = backend;
   const predis::multizone::ThroughputResult r =
@@ -105,12 +110,10 @@ RunNumbers run_zone_on(bool smoke, predis::runtime::Runtime* backend,
   RunNumbers n;
   n.scenario = "multizone_distribution";
   n.backend = backend_name;
-  n.clock = clock;
   n.workers = workers;
   n.throughput_tps = r.throughput_tps;
-  n.p50_latency_ms = 0.0;  // Runner reports mean only.
-  n.p99_latency_ms = 0.0;
-  n.committed_txs = static_cast<std::uint64_t>(r.last_executed_max);
+  n.committed_txs = r.committed_txs;
+  n.submitted_txs = r.submitted_txs;
   n.consistent = r.consistent;
   return n;
 }
@@ -118,10 +121,16 @@ RunNumbers run_zone_on(bool smoke, predis::runtime::Runtime* backend,
 std::unique_ptr<predis::runtime::ThreadRuntime> make_wall_backend(
     std::size_t workers) {
   predis::runtime::ThreadRuntimeConfig tcfg;
-  tcfg.clock = predis::runtime::ClockMode::kWall;
   tcfg.workers = workers;
-  tcfg.latency = predis::runtime::lan_latency();
   return std::make_unique<predis::runtime::ThreadRuntime>(tcfg);
+}
+
+/// "%.3f" of a measured value, "null" of an unmeasured one.
+std::string ms_or_null(const std::optional<double>& v) {
+  if (!v) return "null";
+  char tmp[32];
+  std::snprintf(tmp, sizeof(tmp), "%.3f", *v);
+  return tmp;
 }
 
 void append_json(std::string& out, const RunNumbers& n, bool last) {
@@ -129,12 +138,14 @@ void append_json(std::string& out, const RunNumbers& n, bool last) {
   std::snprintf(
       tmp, sizeof(tmp),
       "    {\"scenario\": \"%s\", \"backend\": \"%s\", \"clock\": \"%s\", "
-      "\"workers\": %zu, \"throughput_tps\": %.1f, \"p50_latency_ms\": %.3f, "
-      "\"p99_latency_ms\": %.3f, \"committed_txs\": %llu, "
-      "\"consistent\": %s}%s\n",
-      n.scenario.c_str(), n.backend.c_str(), n.clock.c_str(), n.workers,
-      n.throughput_tps, n.p50_latency_ms, n.p99_latency_ms,
+      "\"workers\": %zu, \"throughput_tps\": %.1f, \"p50_latency_ms\": %s, "
+      "\"p99_latency_ms\": %s, \"committed_txs\": %llu, "
+      "\"submitted_txs\": %llu, \"consistent\": %s}%s\n",
+      n.scenario.c_str(), n.backend.c_str(), n.clock_name(), n.workers,
+      n.throughput_tps, ms_or_null(n.p50_latency_ms).c_str(),
+      ms_or_null(n.p99_latency_ms).c_str(),
       static_cast<unsigned long long>(n.committed_txs),
+      static_cast<unsigned long long>(n.submitted_txs),
       n.consistent ? "true" : "false", last ? "" : ",");
   out += tmp;
 }
@@ -142,45 +153,36 @@ void append_json(std::string& out, const RunNumbers& n, bool last) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool smoke = false;
-  bool strict = false;
-  std::size_t workers = 4;
-  std::string out_dir = ".";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--strict") == 0) {
-      strict = true;
-    } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      workers = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--out-dir") == 0 && i + 1 < argc) {
-      out_dir = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: runtime_report [--smoke] [--strict] "
-                   "[--workers N] [--out-dir DIR]\n");
-      return 2;
-    }
+  predis::report::Flags flags;
+  std::string workers_arg = "4";
+  if (!predis::report::parse_flags(
+          argc, argv,
+          "runtime_report [--smoke] [--strict] [--workers N] [--out-dir DIR]",
+          flags, {.value_flag = "--workers", .value = &workers_arg})) {
+    return 2;
   }
+  const bool smoke = flags.smoke;
+  auto workers =
+      static_cast<std::size_t>(std::strtoul(workers_arg.c_str(), nullptr, 10));
   if (workers < 4) workers = 4;  // The report's contract: >= 4 real cores.
 
   std::vector<RunNumbers> runs;
 
   // Deterministic oracle first (internal SimRuntime).
-  runs.push_back(run_cluster_on(smoke, nullptr, "sim", "virtual", 1));
-  runs.push_back(run_zone_on(smoke, nullptr, "sim", "virtual", 1));
+  runs.push_back(run_cluster_on(smoke, nullptr, "sim", 1));
+  runs.push_back(run_zone_on(smoke, nullptr, "sim", 1));
 
   // Same scenario objects, wall-clock worker pool. One fresh backend
   // per run: a Runtime carries one topology for its lifetime.
   {
     auto wall = make_wall_backend(workers);
-    runs.push_back(run_cluster_on(smoke, wall.get(), "threads",
-                                  "wall", wall->worker_count()));
+    runs.push_back(
+        run_cluster_on(smoke, wall.get(), "threads", wall->worker_count()));
   }
   {
     auto wall = make_wall_backend(workers);
-    runs.push_back(run_zone_on(smoke, wall.get(), "threads", "wall",
-                               wall->worker_count()));
+    runs.push_back(
+        run_zone_on(smoke, wall.get(), "threads", wall->worker_count()));
   }
 
   bool ok = true;
@@ -188,17 +190,19 @@ int main(int argc, char** argv) {
               smoke ? "smoke" : "full");
   for (const RunNumbers& n : runs) {
     std::printf(
-        "  %-24s %-8s %-8s workers=%zu  %9.1f tx/s  p50 %7.2f ms  "
-        "p99 %7.2f ms  committed %llu  %s\n",
-        n.scenario.c_str(), n.backend.c_str(), n.clock.c_str(), n.workers,
-        n.throughput_tps, n.p50_latency_ms, n.p99_latency_ms,
+        "  %-24s %-8s %-8s workers=%zu  %9.1f tx/s  p50 %7s ms  "
+        "p99 %7s ms  committed %llu of %llu  %s\n",
+        n.scenario.c_str(), n.backend.c_str(), n.clock_name(), n.workers,
+        n.throughput_tps, ms_or_null(n.p50_latency_ms).c_str(),
+        ms_or_null(n.p99_latency_ms).c_str(),
         static_cast<unsigned long long>(n.committed_txs),
+        static_cast<unsigned long long>(n.submitted_txs),
         n.consistent ? "consistent" : "INCONSISTENT");
     if (!n.consistent) ok = false;
     if (n.scenario == "predis_cluster" && n.committed_txs == 0) ok = false;
   }
 
-  std::string json = "{\n  \"schema\": \"predis-runtime/1\", ";
+  std::string json = "{\n  \"schema\": \"predis-runtime/2\", ";
   json += "\"tool\": \"runtime_report\", ";
   json += smoke ? "\"smoke\": true,\n" : "\"smoke\": false,\n";
   json += "  \"runs\": [\n";
@@ -206,13 +210,11 @@ int main(int argc, char** argv) {
     append_json(json, runs[i], i + 1 == runs.size());
   }
   json += "  ]\n}\n";
-  const std::string path = out_dir + "/BENCH_runtime.json";
-  std::ofstream out(path);
-  out << json;
-  out.close();
-  std::printf("wrote %s\n", path.c_str());
+  const int write_rc = predis::report::write_file(
+      "runtime_report", flags.out_dir + "/BENCH_runtime.json", json);
+  if (write_rc != 0) return write_rc;
 
-  if (strict && !ok) {
+  if (flags.strict && !ok) {
     std::fprintf(stderr, "runtime_report: FAILURES (see above)\n");
     return 1;
   }
